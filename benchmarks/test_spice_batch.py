@@ -30,8 +30,8 @@ import pytest
 
 from repro.analysis.montecarlo import varied_device_set
 from repro.analysis.stability import SETTLE_TIME
-from repro.circuit.batch import BatchMember, run_generators, transient_gen
-from repro.circuit.transient import simulate_transient
+from repro.circuit.batch import BatchMember, run_generators
+from repro.circuit.transient import simulate_transient, transient_gen
 from repro.devices.variation import OxideVariation
 from repro.engine.mc import sample_scales
 from repro.sram import AccessConfig, CellSizing, Tfet6TCell

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 
-from repro.circuit.dcop import ConvergenceError
-from repro.circuit.transient import TransientOptions, simulate_transient
+from repro.circuit.dcop import ConvergenceError, SolveMember, run_alone
+from repro.circuit.transient import TransientOptions, simulate_transient, transient_gen
 from repro.sram.assist import Assist
 from repro.sram.testbench import Testbench
+from repro.telemetry import core as telemetry
 
 __all__ = [
     "dynamic_read_noise_margin",
@@ -58,25 +59,16 @@ def dynamic_read_noise_margin(
     )
 
 
-def _write_result(
-    bench: Testbench,
-    options: TransientOptions | None,
-    operating_point_guess: dict[str, float] | None = None,
-):
-    return simulate_transient(
-        bench.circuit,
-        bench.settle_stop(SETTLE_TIME),
-        initial_conditions=bench.initial_conditions,
-        options=options,
-        operating_point_guess=operating_point_guess,
-    )
-
-
 def write_flips_cell(
     bench: Testbench, options: TransientOptions | None = None
 ) -> bool:
     """Whether a write testbench ends with the cell state flipped."""
-    result = _write_result(bench, options)
+    result = simulate_transient(
+        bench.circuit,
+        bench.settle_stop(SETTLE_TIME),
+        initial_conditions=bench.initial_conditions,
+        options=options,
+    )
     final = result.final(bench.one_node) - result.final(bench.zero_node)
     return final < FLIP_MARGIN
 
@@ -93,6 +85,10 @@ class WlCritSearch:
     the search caches the first converged DC solution (node voltages)
     and seeds every subsequent simulation with it, skipping the
     repeated homotopy-from-zero DC solve.
+
+    The bisection is written once, as the generator :meth:`search_gen`;
+    :meth:`search` runs it alone, and the stacked Monte-Carlo batch runs
+    many searches at once.
     """
 
     def __init__(
@@ -112,14 +108,26 @@ class WlCritSearch:
         self.options = options
         self._op_guess: dict[str, float] | None = None
 
-    def _flips(self, bench_factory, width: float) -> bool:
+    def _flips(self, member: SolveMember, bench_factory, width: float):
+        """Generator probe: whether a write pulse of ``width`` flips the cell."""
         bench = bench_factory(width)
         try:
-            result = _write_result(bench, self.options, self._op_guess)
+            result = yield from transient_gen(
+                member,
+                bench.circuit,
+                bench.settle_stop(SETTLE_TIME),
+                initial_conditions=bench.initial_conditions,
+                options=self.options,
+                operating_point_guess=self._op_guess,
+            )
         except ConvergenceError:
             # A non-converging corner case is treated as "did not
             # flip": the bisection then errs toward a *larger* WL_crit,
-            # the conservative direction for a reliability metric.
+            # the conservative direction for a reliability metric.  The
+            # counter keeps such probes visible.
+            tel = telemetry.active()
+            if tel is not None:
+                tel.count("wlcrit.nonconverged")
             return False
         # states[0] is the converged t = 0 operating point; node_names
         # and state columns share the same index ordering.
@@ -129,22 +137,27 @@ class WlCritSearch:
         final = result.final(bench.one_node) - result.final(bench.zero_node)
         return final < FLIP_MARGIN
 
-    def search(self, bench_factory) -> float:
-        """``bench_factory(pulse_width) -> Testbench`` for this cell/assist."""
+    def search_gen(self, member: SolveMember, bench_factory):
+        """Generator form of :meth:`search`, solving through ``member``."""
         self._op_guess = None  # a new cell/assist invalidates the cached OP
-        if not self._flips(bench_factory, self.upper_bound):
+        if not (yield from self._flips(member, bench_factory, self.upper_bound)):
             return math.inf
-        if self._flips(bench_factory, self.lower_bound):
+        if (yield from self._flips(member, bench_factory, self.lower_bound)):
             return self.lower_bound
 
         lo, hi = self.lower_bound, self.upper_bound
         while hi - lo > self.relative_tolerance * hi:
             mid = math.sqrt(lo * hi)  # geometric: widths span 3+ decades
-            if self._flips(bench_factory, mid):
+            if (yield from self._flips(member, bench_factory, mid)):
                 hi = mid
             else:
                 lo = mid
         return hi
+
+    def search(self, bench_factory) -> float:
+        """``bench_factory(pulse_width) -> Testbench`` for this cell/assist."""
+        member = SolveMember()
+        return run_alone(member, self.search_gen(member, bench_factory))
 
 
 def critical_wordline_pulse(

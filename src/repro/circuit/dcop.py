@@ -17,6 +17,11 @@ reduction, or the factorization aging out (``SolverOptions``'s
 Line searches evaluate the residual only (no Jacobian stores), so a
 backtrack costs a fraction of a full assembly.
 
+The control flow is written once, as generators (:func:`newton_gen`,
+:func:`solve_dc_gen`) that yield each assembly request; the public
+functions run them through the scalar driver :func:`run_alone`, and
+:mod:`repro.circuit.batch` runs many at once with stacked assembly.
+
 Both solvers are instrumented against :mod:`repro.telemetry`: when a
 session is active, each ``newton_solve`` records its iteration count,
 line-search backtracks, trust-region shrinks, and Jacobian
@@ -31,6 +36,7 @@ names, last dV, fallback tier reached) rides on the
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +61,17 @@ try:  # pragma: no cover - exercised via either branch in CI images
 except ImportError:  # pragma: no cover
     _HAVE_SCIPY = False
 
-__all__ = ["SolverOptions", "ConvergenceError", "newton_solve", "solve_dc"]
+__all__ = [
+    "SolverOptions",
+    "ConvergenceError",
+    "SolveMember",
+    "newton_gen",
+    "newton_solve",
+    "resume",
+    "run_alone",
+    "solve_dc",
+    "solve_dc_gen",
+]
 
 
 def _format_forensic(value) -> str:
@@ -176,8 +192,82 @@ def _worst_residual_nodes(
     return [f"{names[int(i)]}:{magnitudes[int(i)]:.2e}" for i in order]
 
 
-def newton_solve(
-    system: MnaSystem,
+class SolveMember:
+    """One solve's binding to the assembler its requests are answered from.
+
+    The solver control flow is written once, as generators
+    (:func:`newton_gen`, :func:`solve_dc_gen`, and in
+    :mod:`repro.circuit.transient` the step and integration loops) that
+    *yield* each assembly request ``(x, t, gmin, transient, clamps,
+    source_scale, want_jac)`` and receive ``(f, jac)``.  A generator
+    sets ``member.system`` to the assembler it is about to solve with;
+    the driver answers from there.  Two drivers exist: :func:`run_alone`
+    runs one generator on its own assembler (every public scalar entry
+    point), and :func:`repro.circuit.batch.run_generators` advances many
+    at once with stacked assembly.
+    """
+
+    __slots__ = ("system",)
+
+    def __init__(self, system: MnaSystem | None = None):
+        self.system = system
+
+    def span(self, name: str):
+        """A telemetry span around one section of this solve.
+
+        Entered inside the generators, so a scalar transient records
+        ``transient`` ⊃ ``dcop``.  The context value is the telemetry
+        session while a span is open, ``None`` otherwise.
+        """
+        tel = telemetry.active()
+        return _NO_SPAN if tel is None else tel.span(name)
+
+
+_NO_SPAN = nullcontext()
+
+
+def resume(gen, system: MnaSystem, request: tuple):
+    """Answer one assembly request from ``system`` and resume ``gen``.
+
+    A residual-only request is answered by ``assemble_residual``, a
+    Jacobian request by ``assemble(..., copy=False)``: the reusable
+    buffer is valid until the member's next request.  An assembly error
+    is thrown into the generator at the request, so it unwinds the
+    solver's frames (and closes their spans) as a direct call would.
+    Returns the generator's next request.
+    """
+    x, t, gmin, transient, clamps, source_scale, want_jac = request
+    try:
+        if want_jac:
+            answer = system.assemble(
+                x, t, gmin=gmin, transient=transient, clamps=clamps,
+                source_scale=source_scale, copy=False,
+            )
+        else:
+            answer = (
+                system.assemble_residual(
+                    x, t, gmin=gmin, transient=transient, clamps=clamps,
+                    source_scale=source_scale,
+                ),
+                None,
+            )
+    except Exception as exc:
+        return gen.throw(exc)
+    return gen.send(answer)
+
+
+def run_alone(member: SolveMember, gen):
+    """The scalar driver: run one solver generator to its return value."""
+    try:
+        request = gen.send(None)
+        while True:
+            request = resume(gen, member.system, request)
+    except StopIteration as stop:
+        return stop.value
+
+
+def newton_gen(
+    member: SolveMember,
     x0: np.ndarray,
     t: float,
     options: SolverOptions,
@@ -185,37 +275,21 @@ def newton_solve(
     clamps: tuple[VoltageClamp, ...] = (),
     extra_gmin: float = 0.0,
     source_scale: float = 1.0,
-) -> tuple[np.ndarray, int]:
-    """Damped modified Newton with backtracking; returns (x, iterations).
-
-    Device characteristics with locally flat regions (e.g. the dip where
-    the TFET's gated reverse component hands over to the p-i-n diode)
-    produce huge raw Newton steps; a residual-norm line search keeps the
-    iteration descending instead of oscillating across the flat spot.
-
-    The Jacobian LU is re-used across iterations and re-stamped only on
-    stall (see :class:`SolverOptions`); a step taken from a stale
-    factorization that fails to descend is discarded and retried with a
-    fresh stamp before the iteration counts as failed.
-    """
+):
+    """Generator form of :func:`newton_solve` on ``member.system``."""
     if options.max_iterations < 1:
         raise ValueError(
             f"SolverOptions.max_iterations must be >= 1, got {options.max_iterations}"
         )
     tel = telemetry.active()
     wall_start = time.perf_counter() if tel is not None else 0.0
+    system = member.system
 
     x = x0.copy()
     n = system.n_nodes
     gmin = options.gmin + extra_gmin
 
-    def residual(xv: np.ndarray) -> np.ndarray:
-        return system.assemble_residual(
-            xv, t, gmin=gmin, transient=transient, clamps=clamps,
-            source_scale=source_scale,
-        )
-
-    f = residual(x)
+    f, _ = yield (x, t, gmin, transient, clamps, source_scale, False)
     factor = None
     age = 0
     stamps = 0
@@ -235,10 +309,7 @@ def newton_solve(
             or age >= options.max_jacobian_age
         )
         if refresh:
-            _, jac = system.assemble(
-                x, t, gmin=gmin, transient=transient, clamps=clamps,
-                source_scale=source_scale, copy=False,
-            )
+            _, jac = yield (x, t, gmin, transient, clamps, source_scale, True)
             try:
                 factor = _factorize(jac)
             except np.linalg.LinAlgError as exc:
@@ -292,7 +363,7 @@ def newton_solve(
         descended = False
         for _ in range(options.line_search_backtracks + 1):
             x_try = x + scale * delta
-            f_try = residual(x_try)
+            f_try, _ = yield (x_try, t, gmin, transient, clamps, source_scale, False)
             if float(np.linalg.norm(f_try)) <= norm_old or norm_old == 0.0:
                 descended = True
                 break
@@ -302,7 +373,7 @@ def newton_solve(
             # A stale direction that cannot descend at any scale is not
             # a Newton failure — discard the step, re-stamp at the
             # current point, and retry the iteration (f is untouched:
-            # residual() returns fresh arrays).
+            # every answer carries a fresh residual array).
             factor = None
             iteration -= 1
             continue
@@ -368,6 +439,37 @@ def newton_solve(
             "extra_gmin": extra_gmin,
             "source_scale": source_scale,
         },
+    )
+
+
+def newton_solve(
+    system: MnaSystem,
+    x0: np.ndarray,
+    t: float,
+    options: SolverOptions,
+    transient: TransientState | None = None,
+    clamps: tuple[VoltageClamp, ...] = (),
+    extra_gmin: float = 0.0,
+    source_scale: float = 1.0,
+) -> tuple[np.ndarray, int]:
+    """Damped modified Newton with backtracking; returns (x, iterations).
+
+    Device characteristics with locally flat regions (e.g. the dip where
+    the TFET's gated reverse component hands over to the p-i-n diode)
+    produce huge raw Newton steps; a residual-norm line search keeps the
+    iteration descending instead of oscillating across the flat spot.
+
+    The Jacobian LU is re-used across iterations and re-stamped only on
+    stall (see :class:`SolverOptions`); a step taken from a stale
+    factorization that fails to descend is discarded and retried with a
+    fresh stamp before the iteration counts as failed.
+    """
+    member = SolveMember(system)
+    return run_alone(
+        member,
+        newton_gen(
+            member, x0, t, options, transient, clamps, extra_gmin, source_scale
+        ),
     )
 
 
@@ -444,6 +546,101 @@ def _tier_converged(tel, tier: str, t: float) -> None:
         tel.event("dcop.converged", level="debug", tier=tier, sim_time=t)
 
 
+def solve_dc_gen(
+    member: SolveMember,
+    circuit: Circuit,
+    initial_guess: dict[str, float] | None = None,
+    clamp_nodes: dict[str, float] | None = None,
+    options: SolverOptions | None = None,
+    t: float = 0.0,
+    system: MnaSystem | None = None,
+    x0: np.ndarray | OperatingPoint | None = None,
+):
+    """Generator form of :func:`solve_dc`; binds ``member`` to the system."""
+    options = options or SolverOptions()
+    if system is None:
+        # The dense class is passed through the module global so tests
+        # and benchmarks that monkeypatch ``dcop.MnaSystem`` (e.g. to
+        # ReferenceMnaSystem) keep controlling the assembler.
+        system = make_system(
+            circuit,
+            matrix_format=options.matrix_format,
+            sparse_threshold=options.sparse_threshold,
+            dense_cls=MnaSystem,
+        )
+    member.system = system
+    clamps = tuple(
+        VoltageClamp(circuit.index_of(name), target)
+        for name, target in (clamp_nodes or {}).items()
+        if circuit.index_of(name) >= 0
+    )
+    if x0 is None:
+        x0 = _initial_vector(system, initial_guess)
+    else:
+        x0 = _seed_vector(system, x0)
+
+    tel = telemetry.active()
+    if tel is not None:
+        tel.count("dcop.solves")
+    with member.span("dcop"):
+        warm = bool(np.any(x0 != 0.0))
+        first_tier = "warm_start" if warm else "cold_start"
+        try:
+            x, _ = yield from newton_gen(member, x0, t, options, clamps=clamps)
+            _tier_converged(tel, first_tier, t)
+            return OperatingPoint(circuit, x, options.gmin)
+        except ConvergenceError:
+            pass
+
+        # A bad warm start can trap the iteration in a local residual
+        # minimum of the TFET reverse branch (node driven above a rail);
+        # the all-zeros start approaches every junction from the forward
+        # side and avoids the pocket.
+        if warm:
+            try:
+                x, _ = yield from newton_gen(
+                    member, np.zeros(system.size), t, options, clamps=clamps
+                )
+                _tier_converged(tel, "cold_start", t)
+                return OperatingPoint(circuit, x, options.gmin)
+            except ConvergenceError:
+                pass
+
+        # gmin stepping: relax with a strong shunt, then tighten it away.
+        x = x0.copy()
+        try:
+            for extra in np.geomspace(1e-2, 1e-12, 11):
+                x, _ = yield from newton_gen(
+                    member, x, t, options, clamps=clamps, extra_gmin=extra
+                )
+            x, _ = yield from newton_gen(member, x, t, options, clamps=clamps)
+            _tier_converged(tel, "gmin_stepping", t)
+            return OperatingPoint(circuit, x, options.gmin)
+        except ConvergenceError:
+            pass
+
+        # Source stepping: ramp all independent sources from zero.
+        x = np.zeros(system.size)
+        try:
+            for scale in np.linspace(0.1, 1.0, 10):
+                x, _ = yield from newton_gen(
+                    member, x, t, options, clamps=clamps, source_scale=scale
+                )
+        except ConvergenceError as exc:
+            if tel is not None:
+                tel.count("dcop.failures")
+                tel.event("dcop.failure", level="error", sim_time=t, **{
+                    k: v for k, v in exc.forensics.items()
+                    if k != "worst_residual_nodes"
+                })
+            raise ConvergenceError(
+                "DC operating point failed after every fallback tier",
+                forensics={"fallback_tier": "source_stepping", **exc.forensics},
+            ) from exc
+        _tier_converged(tel, "source_stepping", t)
+        return OperatingPoint(circuit, x, options.gmin)
+
+
 def solve_dc(
     circuit: Circuit,
     initial_guess: dict[str, float] | None = None,
@@ -476,86 +673,10 @@ def solve_dc(
     ``cold_start`` (all-zeros restart), ``gmin_stepping``,
     ``source_stepping``.
     """
-    options = options or SolverOptions()
-    if system is None:
-        # The dense class is passed through the module global so tests
-        # and benchmarks that monkeypatch ``dcop.MnaSystem`` (e.g. to
-        # ReferenceMnaSystem) keep controlling the assembler.
-        system = make_system(
-            circuit,
-            matrix_format=options.matrix_format,
-            sparse_threshold=options.sparse_threshold,
-            dense_cls=MnaSystem,
-        )
-    clamps = tuple(
-        VoltageClamp(circuit.index_of(name), target)
-        for name, target in (clamp_nodes or {}).items()
-        if circuit.index_of(name) >= 0
+    member = SolveMember()
+    return run_alone(
+        member,
+        solve_dc_gen(
+            member, circuit, initial_guess, clamp_nodes, options, t, system, x0
+        ),
     )
-    if x0 is None:
-        x0 = _initial_vector(system, initial_guess)
-    else:
-        x0 = _seed_vector(system, x0)
-
-    tel = telemetry.active()
-    if tel is not None:
-        tel.count("dcop.solves")
-        with tel.span("dcop"):
-            return _solve_dc_tiers(circuit, system, clamps, x0, options, t, tel)
-    return _solve_dc_tiers(circuit, system, clamps, x0, options, t, None)
-
-
-def _solve_dc_tiers(
-    circuit, system, clamps, x0, options, t, tel
-) -> OperatingPoint:
-    """The escalation ladder of :func:`solve_dc` (split out so the
-    traced path can wrap it in one ``dcop`` span)."""
-    warm = bool(np.any(x0 != 0.0))
-    first_tier = "warm_start" if warm else "cold_start"
-    try:
-        x, _ = newton_solve(system, x0, t, options, clamps=clamps)
-        _tier_converged(tel, first_tier, t)
-        return OperatingPoint(circuit, x, options.gmin)
-    except ConvergenceError:
-        pass
-
-    # A bad warm start can trap the iteration in a local residual
-    # minimum of the TFET reverse branch (node driven above a rail);
-    # the all-zeros start approaches every junction from the forward
-    # side and avoids the pocket.
-    if warm:
-        try:
-            x, _ = newton_solve(system, np.zeros(system.size), t, options, clamps=clamps)
-            _tier_converged(tel, "cold_start", t)
-            return OperatingPoint(circuit, x, options.gmin)
-        except ConvergenceError:
-            pass
-
-    # gmin stepping: relax with a strong shunt, then tighten it away.
-    x = x0.copy()
-    try:
-        for extra in np.geomspace(1e-2, 1e-12, 11):
-            x, _ = newton_solve(system, x, t, options, clamps=clamps, extra_gmin=extra)
-        x, _ = newton_solve(system, x, t, options, clamps=clamps)
-        _tier_converged(tel, "gmin_stepping", t)
-        return OperatingPoint(circuit, x, options.gmin)
-    except ConvergenceError:
-        pass
-
-    # Source stepping: ramp all independent sources from zero.
-    x = np.zeros(system.size)
-    try:
-        for scale in np.linspace(0.1, 1.0, 10):
-            x, _ = newton_solve(system, x, t, options, clamps=clamps, source_scale=scale)
-    except ConvergenceError as exc:
-        if tel is not None:
-            tel.count("dcop.failures")
-            tel.event("dcop.failure", level="error", sim_time=t, **{
-                k: v for k, v in exc.forensics.items() if k != "worst_residual_nodes"
-            })
-        raise ConvergenceError(
-            "DC operating point failed after every fallback tier",
-            forensics={"fallback_tier": "source_stepping", **exc.forensics},
-        ) from exc
-    _tier_converged(tel, "source_stepping", t)
-    return OperatingPoint(circuit, x, options.gmin)

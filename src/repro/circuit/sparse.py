@@ -29,8 +29,9 @@ in the solver; each re-stamp pays one full ``splu``.  ``permc_spec``
 is pinned to ``"COLAMD"`` so the fill-reducing ordering — a pure
 function of the fixed pattern — is deterministic across calls.
 
-:func:`make_system` is the selection point: ``"auto"`` picks sparse
-when the system size reaches ``sparse_threshold`` (and scipy is
+:func:`make_system` is the selection point and
+:func:`sparse_requested` its one policy: ``"auto"`` picks sparse when
+the system size reaches ``sparse_threshold`` (and scipy is
 available), so small decks keep the dense fast path that beats sparse
 overhead below ~tens of unknowns.  Selection is recorded on the
 telemetry counters ``mna.sparse_selected`` / ``mna.dense_selected``
@@ -61,6 +62,7 @@ __all__ = [
     "SparseMnaSystem",
     "SparseFactorization",
     "make_system",
+    "sparse_requested",
 ]
 
 DEFAULT_SPARSE_THRESHOLD = 64
@@ -300,6 +302,27 @@ class SparseMnaSystem(MnaSystem):
             )
 
 
+def sparse_requested(
+    size: int,
+    matrix_format: str = "auto",
+    sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
+) -> bool:
+    """The selection policy: whether a system of ``size`` unknowns asks
+    for sparse assembly.
+
+    ``"sparse"`` always does, ``"dense"`` never, ``"auto"`` once
+    ``size >= sparse_threshold``.  :func:`make_system` honours a request
+    whenever scipy is available (``HAVE_SPARSE``).
+    """
+    if matrix_format not in MATRIX_FORMATS:
+        raise ValueError(
+            f"matrix_format must be one of {MATRIX_FORMATS}, got {matrix_format!r}"
+        )
+    return matrix_format == "sparse" or (
+        matrix_format == "auto" and size >= sparse_threshold
+    )
+
+
 def make_system(
     circuit: Circuit,
     matrix_format: str = "auto",
@@ -308,23 +331,15 @@ def make_system(
 ) -> MnaSystem:
     """Build the MNA assembler selected by format and system size.
 
-    ``matrix_format``: ``"dense"`` forces :class:`MnaSystem`,
-    ``"sparse"`` forces :class:`SparseMnaSystem` (falling back to dense
-    with a warning counter when scipy is absent), ``"auto"`` picks
-    sparse once ``node_count + branch_count >= sparse_threshold``.
-    ``dense_cls`` overrides the dense assembler class — callers pass
-    their module-level ``MnaSystem`` binding so monkeypatched reference
-    assemblers (benchmarks) keep flowing through this factory.
+    :func:`sparse_requested` decides on ``node_count + branch_count``;
+    a request falls back to dense with a warning counter when scipy is
+    absent.  ``dense_cls`` overrides the dense assembler class — callers
+    pass their module-level ``MnaSystem`` binding so monkeypatched
+    reference assemblers (benchmarks) keep flowing through this factory.
     """
-    if matrix_format not in MATRIX_FORMATS:
-        raise ValueError(
-            f"matrix_format must be one of {MATRIX_FORMATS}, got {matrix_format!r}"
-        )
     dense_cls = dense_cls or MnaSystem
     size = circuit.node_count + len(circuit.voltage_sources)
-    want_sparse = matrix_format == "sparse" or (
-        matrix_format == "auto" and size >= sparse_threshold
-    )
+    want_sparse = sparse_requested(size, matrix_format, sparse_threshold)
     tel = telemetry.active()
     if want_sparse and HAVE_SPARSE and dense_cls is MnaSystem:
         if tel is not None:

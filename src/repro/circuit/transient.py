@@ -19,6 +19,10 @@ solution.  If Newton rejects the extrapolated seed, the step retries
 once from the last accepted point before shrinking, so the predictor
 can never make a step fail that would have succeeded without it.
 
+The integrator is written once, as the generator :func:`transient_gen`
+(see :class:`repro.circuit.dcop.SolveMember`); :func:`simulate_transient`
+runs it alone and :mod:`repro.circuit.batch` runs many at once.
+
 With a :mod:`repro.telemetry` session active, the integrator records
 accepted/rejected step counts (split by rejection cause), predictor
 fallbacks, a step-size histogram, and breakpoint landings; disabled,
@@ -35,9 +39,11 @@ import numpy as np
 
 from repro.circuit.dcop import (
     ConvergenceError,
+    SolveMember,
     SolverOptions,
-    newton_solve,
-    solve_dc,
+    newton_gen,
+    run_alone,
+    solve_dc_gen,
 )
 from repro.circuit.mna import MnaSystem, TransientState
 from repro.circuit.netlist import Circuit
@@ -47,7 +53,7 @@ from repro.telemetry import core as telemetry
 from repro.verify import audits as verify_audits
 from repro.verify import core as verify
 
-__all__ = ["TransientOptions", "simulate_transient"]
+__all__ = ["TransientOptions", "simulate_transient", "transient_gen"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -86,8 +92,8 @@ class TransientOptions:
             raise ValueError(f"unknown predictor {self.predictor!r}")
 
 
-def _attempt_step(
-    system: MnaSystem,
+def attempt_step_gen(
+    member: SolveMember,
     x: np.ndarray,
     x_prev: np.ndarray | None,
     h_prev: float,
@@ -97,8 +103,8 @@ def _attempt_step(
     currents: np.ndarray,
     options: TransientOptions,
     tel,
-) -> tuple[np.ndarray, int, TransientState, float]:
-    """Shrink ``h_try`` until one step from ``t`` is accepted.
+):
+    """Shrink ``h_try`` until one step from ``t`` is accepted (a generator).
 
     Each attempt seeds Newton from the extrapolated predictor (when
     enabled and history exists); a Newton failure on an extrapolated
@@ -112,6 +118,7 @@ def _attempt_step(
     extrapolate = (
         options.predictor == "linear" and x_prev is not None and h_prev > 0.0
     )
+    n = member.system.n_nodes
     while True:
         state = TransientState(
             timestep=h_try,
@@ -126,8 +133,8 @@ def _attempt_step(
         try:
             for attempt, x_seed in enumerate(seeds):
                 try:
-                    x_new, iterations = newton_solve(
-                        system, x_seed, t + h_try, options.solver, transient=state
+                    x_new, iterations = yield from newton_gen(
+                        member, x_seed, t + h_try, options.solver, transient=state
                     )
                     break
                 except ConvergenceError:
@@ -135,7 +142,7 @@ def _attempt_step(
                         raise
                     if tel is not None:
                         tel.count("transient.predictor_fallbacks")
-            dv = float(np.max(np.abs(x_new[: system.n_nodes] - x[: system.n_nodes])))
+            dv = float(np.max(np.abs(x_new[:n] - x[:n])))
             if dv <= options.max_voltage_step or h_try <= options.min_step:
                 return x_new, iterations, state, h_try
             reason = "dv_limit"
@@ -160,6 +167,123 @@ def _attempt_step(
             ) from None
 
 
+def transient_gen(
+    member: SolveMember,
+    circuit: Circuit,
+    t_stop: float,
+    initial_conditions: dict[str, float] | None = None,
+    options: TransientOptions | None = None,
+    operating_point_guess: dict[str, float] | None = None,
+):
+    """Generator form of :func:`simulate_transient`; binds ``member``."""
+    if t_stop <= 0.0:
+        raise ValueError("t_stop must be positive")
+    options = options or TransientOptions()
+    tel = telemetry.active()
+
+    # ``timed`` is the telemetry session while the member's span is open
+    # (see SolveMember.span), so the wall timer follows the span.
+    with member.span("transient") as timed:
+        wall_start = time.perf_counter() if timed is not None else 0.0
+
+        guess = dict(operating_point_guess or {})
+        guess.update(initial_conditions or {})
+        # Dense class through the module global so monkeypatched assemblers
+        # (ReferenceMnaSystem in benchmarks) keep flowing through the factory.
+        system = make_system(
+            circuit,
+            matrix_format=options.solver.matrix_format,
+            sparse_threshold=options.solver.sparse_threshold,
+            dense_cls=MnaSystem,
+        )
+        op = yield from solve_dc_gen(
+            member,
+            circuit,
+            initial_guess=guess or None,
+            clamp_nodes=initial_conditions,
+            options=options.solver,
+            system=system,
+        )
+        x = op.x.copy()
+        charges = system.capacitor_charges(x)
+        currents = np.zeros_like(charges)  # caps carry no current at DC
+
+        breakpoints = [b for b in circuit.breakpoints() if 0.0 < b < t_stop]
+        breakpoints.append(t_stop)
+
+        times = [0.0]
+        states = [x.copy()]
+
+        t = 0.0
+        h = options.initial_step
+        x_prev: np.ndarray | None = None
+        h_prev = 0.0
+        while t < t_stop - 1e-21:
+            # Never step across a breakpoint; land on it exactly.
+            k = bisect.bisect_right(breakpoints, t)
+            next_break = breakpoints[k] if k < len(breakpoints) else t_stop
+            h_cap = min(h, options.max_step, next_break - t)
+
+            x_new, iterations, state, h_try = yield from attempt_step_gen(
+                member, x, x_prev, h_prev, t, h_cap, charges, currents, options, tel
+            )
+
+            t += h_try
+            # Snap accumulated-roundoff landings onto the breakpoint.  A
+            # fixed step that divides the breakpoint time exactly in real
+            # arithmetic can still leave ``t`` a few ulps short of it in
+            # floats; the leftover ~ulp sliver step would get a companion
+            # conductance C/h so large that Newton can never satisfy the
+            # absolute residual tolerance, and the run dies in a step
+            # underflow.  The slack is a few ulps — far below any real
+            # waveform feature spacing.
+            if t != next_break and abs(next_break - t) <= 64.0 * _EPS * next_break:
+                t = next_break
+            x_prev, h_prev = x, h_try
+            x = x_new
+            currents = system.capacitor_currents(x, state)
+            charges = system.capacitor_charges(x)
+            times.append(t)
+            states.append(x.copy())
+
+            ver = verify.active()
+            if ver is not None:
+                verify_audits.audit_transient_step(
+                    ver, system, x_prev, x, state, charges, currents
+                )
+
+            if tel is not None:
+                tel.count("transient.steps_accepted")
+                tel.observe("transient.step_seconds", h_try)
+                if t >= next_break - 1e-21:
+                    tel.count("transient.breakpoint_landings")
+
+            # Controller update.  ``h`` is the step the controller *wants*;
+            # ``h_cap`` is what the breakpoint/max_step clamp allowed this
+            # attempt, and ``h_try`` what was actually accepted.  Only a
+            # shrink during the attempt (Newton failure, dv limit) pulls
+            # the controller down — a step that was merely clamped to land
+            # on a breakpoint must not reset the working step to the
+            # sliver, which previously forced a 1.4x/step regrowth climb
+            # after every late breakpoint.
+            if h_try < h_cap:
+                h = h_try
+            elif iterations <= options.easy_iterations:
+                h = min(max(h, h_try) * options.growth, options.max_step)
+
+        if tel is not None:
+            tel.count("transient.simulations")
+            if timed is not None:
+                timed.add_time("transient.wall_s", time.perf_counter() - wall_start)
+            tel.event(
+                "transient.complete",
+                level="debug",
+                t_stop=t_stop,
+                points=len(times),
+            )
+    return TransientResult(circuit, np.array(times), np.array(states))
+
+
 def simulate_transient(
     circuit: Circuit,
     t_stop: float,
@@ -180,120 +304,11 @@ def simulate_transient(
     A guess naming a node this circuit does not have (a seed carried
     over from a different circuit) raises :class:`ValueError`.
     """
-    if t_stop <= 0.0:
-        raise ValueError("t_stop must be positive")
-    options = options or TransientOptions()
-
-    tel = telemetry.active()
-    if tel is not None:
-        with tel.span("transient"):
-            return _simulate(
-                circuit, t_stop, initial_conditions, options,
-                operating_point_guess, tel,
-            )
-    return _simulate(
-        circuit, t_stop, initial_conditions, options, operating_point_guess, None
+    member = SolveMember()
+    return run_alone(
+        member,
+        transient_gen(
+            member, circuit, t_stop, initial_conditions, options,
+            operating_point_guess,
+        ),
     )
-
-
-def _simulate(
-    circuit, t_stop, initial_conditions, options, operating_point_guess, tel
-) -> TransientResult:
-    """The integration loop of :func:`simulate_transient` (split out so
-    the traced path can wrap it in one ``transient`` span)."""
-    wall_start = time.perf_counter() if tel is not None else 0.0
-
-    guess = dict(operating_point_guess or {})
-    guess.update(initial_conditions or {})
-    # Dense class through the module global so monkeypatched assemblers
-    # (ReferenceMnaSystem in benchmarks) keep flowing through the factory.
-    system = make_system(
-        circuit,
-        matrix_format=options.solver.matrix_format,
-        sparse_threshold=options.solver.sparse_threshold,
-        dense_cls=MnaSystem,
-    )
-    op = solve_dc(
-        circuit,
-        initial_guess=guess or None,
-        clamp_nodes=initial_conditions,
-        options=options.solver,
-        system=system,
-    )
-    x = op.x.copy()
-    charges = system.capacitor_charges(x)
-    currents = np.zeros_like(charges)  # caps carry no current at DC
-
-    breakpoints = [b for b in circuit.breakpoints() if 0.0 < b < t_stop]
-    breakpoints.append(t_stop)
-
-    times = [0.0]
-    states = [x.copy()]
-
-    t = 0.0
-    h = options.initial_step
-    x_prev: np.ndarray | None = None
-    h_prev = 0.0
-    while t < t_stop - 1e-21:
-        # Never step across a breakpoint; land on it exactly.
-        k = bisect.bisect_right(breakpoints, t)
-        next_break = breakpoints[k] if k < len(breakpoints) else t_stop
-        h_cap = min(h, options.max_step, next_break - t)
-
-        x_new, iterations, state, h_try = _attempt_step(
-            system, x, x_prev, h_prev, t, h_cap, charges, currents, options, tel
-        )
-
-        t += h_try
-        # Snap accumulated-roundoff landings onto the breakpoint.  A
-        # fixed step that divides the breakpoint time exactly in real
-        # arithmetic can still leave ``t`` a few ulps short of it in
-        # floats; the leftover ~ulp sliver step would get a companion
-        # conductance C/h so large that Newton can never satisfy the
-        # absolute residual tolerance, and the run dies in a step
-        # underflow.  The slack is a few ulps — far below any real
-        # waveform feature spacing.
-        if t != next_break and abs(next_break - t) <= 64.0 * _EPS * next_break:
-            t = next_break
-        x_prev, h_prev = x, h_try
-        x = x_new
-        currents = system.capacitor_currents(x, state)
-        charges = system.capacitor_charges(x)
-        times.append(t)
-        states.append(x.copy())
-
-        ver = verify.active()
-        if ver is not None:
-            verify_audits.audit_transient_step(
-                ver, system, x_prev, x, state, charges, currents
-            )
-
-        if tel is not None:
-            tel.count("transient.steps_accepted")
-            tel.observe("transient.step_seconds", h_try)
-            if t >= next_break - 1e-21:
-                tel.count("transient.breakpoint_landings")
-
-        # Controller update.  ``h`` is the step the controller *wants*;
-        # ``h_cap`` is what the breakpoint/max_step clamp allowed this
-        # attempt, and ``h_try`` what was actually accepted.  Only a
-        # shrink during the attempt (Newton failure, dv limit) pulls
-        # the controller down — a step that was merely clamped to land
-        # on a breakpoint must not reset the working step to the
-        # sliver, which previously forced a 1.4x/step regrowth climb
-        # after every late breakpoint.
-        if h_try < h_cap:
-            h = h_try
-        elif iterations <= options.easy_iterations:
-            h = min(max(h, h_try) * options.growth, options.max_step)
-
-    if tel is not None:
-        tel.count("transient.simulations")
-        tel.add_time("transient.wall_s", time.perf_counter() - wall_start)
-        tel.event(
-            "transient.complete",
-            level="debug",
-            t_stop=t_stop,
-            points=len(times),
-        )
-    return TransientResult(circuit, np.array(times), np.array(states))

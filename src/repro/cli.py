@@ -732,13 +732,13 @@ def _cmd_array(args) -> int:
 
 def _array_build(compiled) -> int:
     """Print the compiled path's structure without simulating it."""
-    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD
+    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD, sparse_requested
     from repro.sram.compiler.census import census_macro_area
 
     geometry = compiled.geometry
     ladder = compiled.ladder
     size = compiled.unknown_count
-    sparse = "sparse" if size >= DEFAULT_SPARSE_THRESHOLD else "dense"
+    sparse = "sparse" if sparse_requested(size) else "dense"
     print(f"{compiled.circuit.title}")
     print(f"  unknowns : {size} -> {sparse} MNA "
           f"(auto threshold {DEFAULT_SPARSE_THRESHOLD})")

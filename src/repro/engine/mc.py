@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.circuit.dcop import SolverOptions
-from repro.circuit.transient import TransientOptions
+from repro.circuit.dcop import SolveMember, SolverOptions, run_alone
+from repro.circuit.transient import TransientOptions, transient_gen
 from repro.devices.variation import OxideVariation
 from repro.engine.jobs import Task, TaskContext, TaskOutcome, derive_seed, task_rng
 from repro.engine.scheduler import BatchReport, EngineConfig, run_tasks
@@ -105,12 +105,18 @@ def evaluate_mc_sample(payload, ctx: TaskContext) -> float:
     ``payload`` is ``(spec, scales)``.  On retries the transient solver
     runs with :func:`escalated_transient_options` for the attempt.
     """
+    member = SolveMember()
+    return run_alone(member, _mc_sample_gen(member, payload, ctx))
+
+
+def _mc_sample_gen(member, payload, ctx: TaskContext):
+    """The one per-sample implementation, as a solver generator.
+
+    :func:`evaluate_mc_sample` runs it alone; :func:`evaluate_mc_chunk`
+    runs a chunk of them as one stacked batch.
+    """
     from repro.analysis.montecarlo import varied_device_set
-    from repro.analysis.stability import (
-        WlCritSearch,
-        critical_wordline_pulse,
-        dynamic_read_noise_margin,
-    )
+    from repro.analysis.stability import SETTLE_TIME, WlCritSearch
     from repro.sram import (
         READ_ASSISTS,
         WRITE_ASSISTS,
@@ -128,101 +134,8 @@ def evaluate_mc_sample(payload, ctx: TaskContext) -> float:
     if spec.metric == "wlcrit":
         assist = WRITE_ASSISTS[spec.assist] if spec.assist else None
         search = WlCritSearch(upper_bound=spec.wlcrit_upper_bound, options=options)
-        return float(
-            critical_wordline_pulse(cell, spec.vdd, assist=assist, search=search)
-        )
-    assist = READ_ASSISTS[spec.assist] if spec.assist else None
-    return float(
-        dynamic_read_noise_margin(
-            cell.read_testbench(spec.vdd, assist=assist), options=options
-        )
-    )
-
-
-def _wlcrit_gen(member, cell, vdd, assist, upper_bound, options):
-    """Generator transcription of the WL_crit bisection for one batch member.
-
-    Mirrors :class:`~repro.analysis.stability.WlCritSearch` step for
-    step (same width sequence, same cached-OP seeding, same
-    ConvergenceError handling), with every transient routed through the
-    stacked assembler — so the returned width is bit-identical to the
-    scalar search.
-    """
-    from repro.analysis.stability import (
-        FLIP_MARGIN,
-        SETTLE_TIME,
-        WlCritSearch,
-    )
-    from repro.circuit.batch import transient_gen
-    from repro.circuit.dcop import ConvergenceError
-
-    search = WlCritSearch(upper_bound=upper_bound, options=options)
-    factory = cell.write_bench_factory(vdd, assist=assist)
-    op_guess: list[dict | None] = [None]
-
-    def flips(width):
-        bench = factory(width)
-        try:
-            result = yield from transient_gen(
-                member,
-                bench.circuit,
-                bench.settle_stop(SETTLE_TIME),
-                initial_conditions=bench.initial_conditions,
-                options=search.options,
-                operating_point_guess=op_guess[0],
-            )
-        except ConvergenceError:
-            # Same convention as WlCritSearch._flips: a non-converging
-            # corner counts as "did not flip" (conservative direction).
-            return False
-        op_guess[0] = dict(
-            zip(bench.circuit.node_names, (float(v) for v in result.states[0]))
-        )
-        final = result.final(bench.one_node) - result.final(bench.zero_node)
-        return final < FLIP_MARGIN
-
-    if not (yield from flips(search.upper_bound)):
-        return math.inf
-    if (yield from flips(search.lower_bound)):
-        return search.lower_bound
-
-    lo, hi = search.lower_bound, search.upper_bound
-    while hi - lo > search.relative_tolerance * hi:
-        mid = math.sqrt(lo * hi)
-        if (yield from flips(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _mc_sample_gen(member, payload, ctx: TaskContext):
-    """Generator transcription of :func:`evaluate_mc_sample`.
-
-    Same cell construction, same metric logic; only the transient
-    solves are yielded to the stacked batch driver.
-    """
-    from repro.analysis.montecarlo import varied_device_set
-    from repro.analysis.stability import SETTLE_TIME
-    from repro.circuit.batch import transient_gen
-    from repro.sram import (
-        READ_ASSISTS,
-        WRITE_ASSISTS,
-        AccessConfig,
-        CellSizing,
-        Tfet6TCell,
-    )
-
-    spec, scales = payload
-    options = escalated_transient_options(ctx.attempt)
-    devices = varied_device_set(scales)
-    cell = Tfet6TCell(
-        CellSizing().with_beta(spec.beta), AccessConfig[spec.access], devices=devices
-    )
-    if spec.metric == "wlcrit":
-        assist = WRITE_ASSISTS[spec.assist] if spec.assist else None
-        value = yield from _wlcrit_gen(
-            member, cell, spec.vdd, assist, spec.wlcrit_upper_bound, options
+        value = yield from search.search_gen(
+            member, cell.write_bench_factory(spec.vdd, assist=assist)
         )
         return float(value)
     assist = READ_ASSISTS[spec.assist] if spec.assist else None

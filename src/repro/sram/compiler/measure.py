@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.energy import delivered_energy, operation_energy
 from repro.analysis.timing import SENSE_THRESHOLD
-from repro.circuit.sparse import HAVE_SPARSE
+from repro.circuit.sparse import HAVE_SPARSE, sparse_requested
 from repro.circuit.transient import TransientOptions, simulate_transient
 from repro.sram.array import ArrayGeometry, _BitlineScaledCell, plan_array
 from repro.sram.assist import Assist
@@ -208,13 +208,8 @@ def measure_array(
         flipped = result.final(probes["hs_q"]) < result.final(probes["hs_qb"])
 
     size = compiled.unknown_count
-    sparse = (
-        HAVE_SPARSE
-        and options.solver.matrix_format != "dense"
-        and (
-            options.solver.matrix_format == "sparse"
-            or size >= options.solver.sparse_threshold
-        )
+    sparse = HAVE_SPARSE and sparse_requested(
+        size, options.solver.matrix_format, options.solver.sparse_threshold
     )
     return ArrayMeasurement(
         scenario=compiled.scenario,

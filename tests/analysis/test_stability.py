@@ -33,9 +33,10 @@ class ThresholdSearch(WlCritSearch):
         super().__init__(**kwargs)
         self.threshold = threshold
 
-    def _flips(self, bench_factory, width):
+    def _flips(self, member, bench_factory, width):
         bench_factory(width)
         return width >= self.threshold
+        yield  # pragma: no cover - makes this a generator probe
 
 
 class TestWlCritSearch:
@@ -72,6 +73,24 @@ class TestWlCritSearch:
             WlCritSearch(lower_bound=1e-9, upper_bound=1e-10)
         with pytest.raises(ValueError):
             WlCritSearch(relative_tolerance=0.0)
+
+    def test_nonconverged_probe_counts_and_reads_as_no_flip(self, monkeypatch):
+        from repro.analysis import stability
+        from repro.circuit.dcop import ConvergenceError
+        from repro.telemetry import core as telemetry
+
+        def diverging(member, *args, **kwargs):
+            raise ConvergenceError("forced probe failure")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(stability, "transient_gen", diverging)
+        cell = Tfet6TCell(CellSizing().with_beta(0.5), access=AccessConfig.INWARD_P)
+        with telemetry.enabled() as tel:
+            result = WlCritSearch().search(cell.write_bench_factory(0.8))
+        # The upper-bound probe is the only one run: "did not flip" there
+        # means an unwritable cell, as before the counter existed.
+        assert math.isinf(result)
+        assert tel.counters["wlcrit.nonconverged"] == 1
 
 
 class TestOnRealCell:

@@ -1,11 +1,14 @@
-"""Stacked-batch Newton must be bit-identical to the scalar solvers.
+"""The stacked driver must reproduce a solve run alone, bit for bit.
 
-The generators in :mod:`repro.circuit.batch` are transcriptions of
-``solve_dc`` / ``simulate_transient`` — same tolerances, same fallback
-ladder, same step control — so a batch of K variants driven by
-:func:`run_generators` must reproduce the scalar waveforms *exactly*
-(``tobytes`` equality), not merely to tolerance.  Error isolation and
-the shared-topology precondition are pinned here too.
+The solver control flow exists once, as generators
+(``solve_dc_gen`` / ``transient_gen``); ``solve_dc`` and
+``simulate_transient`` run one of them through the scalar driver, and
+:func:`run_generators` runs K of them with stacked assembly.  The two
+drivers must produce the same waveforms *exactly* (``tobytes``
+equality), not merely to tolerance — including above the sparse
+threshold, where members are served singly on their own CSC
+assembler.  Error isolation and the shared-topology precondition are
+pinned here too.
 """
 
 from __future__ import annotations
@@ -13,15 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuit.batch import (
-    BatchMember,
-    run_generators,
-    solve_dc_gen,
-    transient_gen,
-)
-from repro.circuit.dcop import solve_dc
+from repro.circuit.batch import BatchMember, run_generators
+from repro.circuit.dcop import solve_dc, solve_dc_gen
 from repro.circuit.netlist import Circuit
-from repro.circuit.transient import simulate_transient
+from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD, HAVE_SPARSE
+from repro.circuit.transient import simulate_transient, transient_gen
 from repro.circuit.waveforms import Pulse
 from repro.devices.charges import SmoothStepCharge
 from repro.devices.library import tfet_device
@@ -132,3 +131,39 @@ def test_mixed_topology_members_rejected():
     ]
     with pytest.raises(ValueError, match="share one topology"):
         run_generators(pairs)
+
+
+def _inverter_with_ladder(width_n: float, cload: float) -> Circuit:
+    """The inverter driving an RC ladder: the smallest deck here that
+    crosses ``DEFAULT_SPARSE_THRESHOLD``, so ``"auto"`` assembles it sparse."""
+    c = _inverter(width_n, cload)
+    prev = "out"
+    for k in range(DEFAULT_SPARSE_THRESHOLD - 2):
+        node = f"l{k}"
+        c.add_resistor(prev, node, 2e4)
+        c.add_capacitor(node, "0", 2e-17)
+        prev = node
+    return c
+
+
+@pytest.mark.skipif(not HAVE_SPARSE, reason="scipy is unavailable")
+def test_sparse_members_match_auto_scalar_runs():
+    """Above the sparse threshold a batch member factors the same CSC
+    Jacobian as a default-options scalar run, so the bits agree."""
+    decks = [_inverter_with_ladder(*v) for v in VARIANTS[:2]]
+    assert all(
+        d.node_count + len(d.voltage_sources) >= DEFAULT_SPARSE_THRESHOLD
+        for d in decks
+    )
+    scalar = [simulate_transient(d, T_STOP) for d in decks]
+
+    pairs = []
+    for k, deck in enumerate(decks):
+        member = BatchMember(label=f"v{k}")
+        pairs.append((member, transient_gen(member, deck, T_STOP)))
+    outcomes = run_generators(pairs)
+
+    assert [o.status for o in outcomes] == ["ok"] * len(decks)
+    for ref, outcome in zip(scalar, outcomes):
+        assert outcome.value.times.tobytes() == ref.times.tobytes()
+        assert outcome.value.states.tobytes() == ref.states.tobytes()

@@ -2,7 +2,8 @@
 
 The escalation ladder (warm start -> cold start -> gmin stepping ->
 source stepping) is exercised deterministically by gating the real
-``newton_solve`` so that only chosen call shapes succeed, and the tier
+``newton_gen`` (the Newton generator every tier runs) so that only
+chosen call shapes succeed, and the tier
 that finally converged is asserted through telemetry counters — the
 same signal ``repro diag`` reads from run manifests.
 """
@@ -33,7 +34,7 @@ def divider():
     return c
 
 
-REAL_NEWTON = dcop.newton_solve
+REAL_NEWTON = dcop.newton_gen
 
 
 class TestTierTelemetry:
@@ -50,12 +51,12 @@ class TestTierTelemetry:
         assert tel.counters["dcop.converged.cold_start"] == 1
 
     def test_cold_start_tier_after_warm_failure(self, monkeypatch):
-        def gated(system, x0, t, options, **kwargs):
+        def gated(member, x0, t, options, **kwargs):
             if np.any(x0 != 0.0) and kwargs.get("extra_gmin", 0.0) == 0.0:
                 raise dcop.ConvergenceError("forced warm-start failure")
-            return REAL_NEWTON(system, x0, t, options, **kwargs)
+            return (yield from REAL_NEWTON(member, x0, t, options, **kwargs))
 
-        monkeypatch.setattr(dcop, "newton_solve", gated)
+        monkeypatch.setattr(dcop, "newton_gen", gated)
         with telemetry.enabled() as tel:
             op = dcop.solve_dc(divider(), initial_guess={"mid": 0.7})
         assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
@@ -65,14 +66,14 @@ class TestTierTelemetry:
     def test_gmin_stepping_tier(self, monkeypatch):
         seen_gmin = {"yes": False}
 
-        def gated(system, x0, t, options, **kwargs):
+        def gated(member, x0, t, options, **kwargs):
             if kwargs.get("extra_gmin", 0.0) > 0.0:
                 seen_gmin["yes"] = True
             elif not seen_gmin["yes"]:
                 raise dcop.ConvergenceError("forced plain-Newton failure")
-            return REAL_NEWTON(system, x0, t, options, **kwargs)
+            return (yield from REAL_NEWTON(member, x0, t, options, **kwargs))
 
-        monkeypatch.setattr(dcop, "newton_solve", gated)
+        monkeypatch.setattr(dcop, "newton_gen", gated)
         with telemetry.enabled() as tel:
             op = dcop.solve_dc(divider())
         assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
@@ -82,26 +83,27 @@ class TestTierTelemetry:
     def test_source_stepping_tier(self, monkeypatch):
         seen_ramp = {"yes": False}
 
-        def gated(system, x0, t, options, **kwargs):
+        def gated(member, x0, t, options, **kwargs):
             if kwargs.get("source_scale", 1.0) < 1.0:
                 seen_ramp["yes"] = True
             elif kwargs.get("extra_gmin", 0.0) > 0.0 or not seen_ramp["yes"]:
                 raise dcop.ConvergenceError("forced failure outside the ramp")
-            return REAL_NEWTON(system, x0, t, options, **kwargs)
+            return (yield from REAL_NEWTON(member, x0, t, options, **kwargs))
 
-        monkeypatch.setattr(dcop, "newton_solve", gated)
+        monkeypatch.setattr(dcop, "newton_gen", gated)
         with telemetry.enabled() as tel:
             op = dcop.solve_dc(divider())
         assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
         assert tel.counters["dcop.converged.source_stepping"] == 1
 
     def test_total_failure_reports_tier_in_forensics(self, monkeypatch):
-        def always_fail(system, x0, t, options, **kwargs):
+        def always_fail(member, x0, t, options, **kwargs):
             raise dcop.ConvergenceError(
                 "forced", forensics={"last_dv": 1.0, "max_residual": 2.0}
             )
+            yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(dcop, "newton_solve", always_fail)
+        monkeypatch.setattr(dcop, "newton_gen", always_fail)
         with telemetry.enabled() as tel:
             with pytest.raises(dcop.ConvergenceError) as excinfo:
                 dcop.solve_dc(divider())

@@ -163,14 +163,16 @@ class TestTelemetryAndForensics:
         import repro.circuit.transient as tr
         from repro.telemetry import core as telemetry
 
-        real = tr.newton_solve
+        real = tr.newton_gen
 
-        def fail_in_transient(system, x0, t, options, transient=None, **kwargs):
+        def fail_in_transient(member, x0, t, options, transient=None, **kwargs):
             if transient is not None:
                 raise ConvergenceError("forced transient failure")
-            return real(system, x0, t, options, transient=transient, **kwargs)
+            return (
+                yield from real(member, x0, t, options, transient=transient, **kwargs)
+            )
 
-        monkeypatch.setattr(tr, "newton_solve", fail_in_transient)
+        monkeypatch.setattr(tr, "newton_gen", fail_in_transient)
         with telemetry.enabled() as tel:
             with pytest.raises(ConvergenceError, match="step underflow") as excinfo:
                 simulate_transient(rc_circuit(), 1e-9)
@@ -179,6 +181,30 @@ class TestTelemetryAndForensics:
         assert forensics["step_s"] < 1e-16
         assert tel.counters["transient.step_underflows"] == 1
         assert tel.counters["transient.rejected_newton"] >= 1
+
+    def test_assembly_error_unwinds_the_solver_spans(self):
+        from repro.circuit.waveforms import Waveform
+        from repro.telemetry import core as telemetry
+
+        class FailsAfterStart(Waveform):
+            def value(self, t):
+                if t > 0.0:
+                    raise RuntimeError("stimulus failed")
+                return 1.0
+
+        c = Circuit("bad")
+        c.add_voltage_source("vin", "in", "0", FailsAfterStart())
+        c.add_resistor("in", "out", 1e4)
+        c.add_capacitor("out", "0", 1e-13)
+        with telemetry.enabled() as tel:
+            with pytest.raises(RuntimeError, match="stimulus failed") as excinfo:
+                simulate_transient(c, 1e-9)
+            # The error surfaced at the request inside the solver, so the
+            # transient span closed with it, not when the traceback held
+            # by ``excinfo`` is freed.
+            assert excinfo.traceback is not None
+            assert tel.span_path == ""
+            assert [s["name"] for s in tel.spans] == ["dcop", "transient"]
 
 
 class TestOptionsAndErrors:
